@@ -7,11 +7,12 @@
    cache's win on multi-rung nested-protocol builds.
 
    The harness never materializes a parent set: both sides are
-   Parent.stream values (pure functions of seed + position) fed to the
-   protocols' run_stream entry points, so memory stays bounded by one
-   encoding chunk plus the O(s) fingerprint index. (The flat "set" stack
-   necessarily flattens the element multiset into two Iset values — flat
-   integer sets, not parent sets — a few MB at this scale.)
+   Parent.stream values (pure functions of seed + position) fed to
+   Protocol.run_known (each stack's one build path), so memory stays
+   bounded by one encoding chunk plus the O(s) fingerprint index. (The
+   flat "set" stack necessarily flattens the element multiset into two
+   Iset values — flat integer sets, not parent sets — a few MB at this
+   scale.)
 
    Regression gate: the [bits] field of every million_reconcile row is an
    exact deterministic function of the seeds (protocol transcripts are
@@ -70,8 +71,7 @@ let run_stream_stack kind ~wseed ~d ~u ~h ~alice ~bob =
       let comm = faulty_comm ~cseed:(Prng.derive ~seed:wseed ~tag:(0xC4A7 + attempt)) in
       let aseed = Hashing.attempt_seed ~seed:wseed ~attempt in
       match
-        Protocol.run_known_stream kind ~comm ~seed:aseed ~enc_seed:(Some wseed) ~d ~u ~h ~alice
-          ~bob
+        Protocol.run_known kind ~comm ~seed:aseed ~enc_seed:(Some wseed) ~d ~u ~h ~alice ~bob
       with
       | Ok o -> (Some o, bits + o.Protocol.stats.Comm.bits_total, attempt + 1)
       | Error `Decode_failure -> go (attempt + 1) (bits + (Comm.stats comm).Comm.bits_total)
@@ -194,11 +194,11 @@ let reconcile_rows ~smoke push =
             | `Sos kind -> (
               match run_stream_stack kind ~wseed ~d ~u ~h ~alice ~bob with
               | Some o, bits, attempts ->
-                (* run_stream verified the delta against Alice's stream
+                (* run_known verified the delta against Alice's stream
                    digest; the lists must mirror each other (every edited
                    child appears as one a_only and one b_only entry). *)
-                let da = List.length o.Protocol.delta.Parent.a_only in
-                let db = List.length o.Protocol.delta.Parent.b_only in
+                let da = List.length o.Protocol.recovered.Parent.a_only in
+                let db = List.length o.Protocol.recovered.Parent.b_only in
                 (da = db && da > 0, bits, attempts)
               | None, bits, attempts -> (false, bits, attempts))
           in
@@ -270,7 +270,7 @@ let cache_speedup push =
             let comm = Comm.create () in
             let aseed = Hashing.attempt_seed ~seed:wseed ~attempt in
             ignore
-              (Protocol.run_known_stream kind ~comm ~seed:aseed ~enc_seed:(Some wseed) ~d ~u ~h
+              (Protocol.run_known kind ~comm ~seed:aseed ~enc_seed:(Some wseed) ~d ~u ~h
                  ~alice ~bob);
             Comm.stats comm)
           [ 0; 1; 2 ]

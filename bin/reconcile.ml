@@ -330,11 +330,11 @@ let run_dataset seed family children edits no_cache kind =
   let comm = Comm.create () in
   start_wall ();
   let result =
-    Protocol.run_known_stream kind ~comm ~seed ~enc_seed:None ~d ~u ~h ~alice ~bob
+    Protocol.run_known kind ~comm ~seed ~enc_seed:None ~d ~u ~h ~alice ~bob
   in
   Enc_cache.set_enabled was_enabled;
   match result with
-  | Ok { Protocol.delta; stats } ->
+  | Ok { Protocol.recovered = delta; stats } ->
     let cs = Enc_cache.stats () in
     Printf.printf "delta: %d alice-only / %d bob-only children; cache %d hits / %d misses\n"
       (List.length delta.Parent.a_only)

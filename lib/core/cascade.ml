@@ -3,15 +3,13 @@ module Bits = Ssr_util.Bits
 module Prng = Ssr_util.Prng
 module Buf = Ssr_util.Buf
 module Codec = Ssr_util.Codec
-module Hashing = Ssr_util.Hashing
-module Par = Ssr_util.Par
 module Iblt = Ssr_sketch.Iblt
 module Comm = Ssr_setrecon.Comm
 
 let m_retries = Ssr_obs.Metrics.counter "proto.cascade.retries"
 
-type outcome = {
-  recovered : Parent.t;
+type 'r outcome = {
+  recovered : 'r;
   levels : int;
   used_star : bool;
   recovered_per_level : int array;
@@ -42,10 +40,17 @@ let outer_params ~seed ~k ~key_len ~diff_bound i : Iblt.params =
     seed = Prng.derive ~seed ~tag:(0x07E0 + i);
   }
 
-(* [enc_seed] (default: the run seed) salts the per-level child-encoding
+(* Both sides build from streams, one chunked pass per table, so at most
+   one encoding chunk is live at a time. Bob builds only his level-1 table
+   (indexed, so negatives map back to his children) before the level-1
+   decode; each later level and T* is one walk that deletes his children
+   outside D_B plus the children recovered so far. The 8-byte guard is
+   Alice's [Parent.stream_hash]; Bob checks it from the recovered delta.
+   [enc_seed] (default: the run seed) salts the per-level child-encoding
    configs only; outer and star tables stay salted by the per-attempt run
    seed. Resilient pins it so escalation rungs share cached encodings. *)
-let run ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~alice ~bob =
+let run ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~(alice : Parent.stream)
+    ~(bob : Parent.stream) =
   let enc_seed = Option.value enc_seed ~default:seed in
   let t = num_levels ~d ~h in
   let use_star = h <= d in
@@ -70,36 +75,23 @@ let run ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~alice ~bob =
            0x55)
     else None
   in
-  (* ---- Alice: build and send every level table (one message). ----
-     Levels are independent (each hashes every child into its own table),
-     so a parallel pool builds them concurrently; Par.init keeps the
-     result array in level order regardless of scheduling. *)
-  let alice_children = Parent.children alice in
+  let build prm ~encode =
+    let table = Iblt.create prm in
+    Parent.stream_iter_encoded alice ~encode ~sink:(Iblt.add_all table);
+    table
+  in
+  (* ---- Alice: build and send every level table (one message). ---- *)
   let alice_tables =
-    Par.init (t + 1) (fun i ->
-        match outers.(i) with
-        | None -> None
-        | Some prm ->
-          let table = Iblt.create prm in
-          Iblt.add_all table (Array.of_list (List.map (Encoding.encode cfgs.(i)) alice_children));
-          Some table)
+    Array.init (t + 1) (fun i ->
+        Option.map (build ~encode:(Encoding.encode cfgs.(i))) outers.(i))
   in
-  let alice_star =
-    Option.map
-      (fun prm ->
-        let table = Iblt.create prm in
-        Iblt.add_all table (Array.of_list (List.map (Direct.encode direct_cfg) alice_children));
-        table)
-      star_prm
-  in
-  let alice_hash = Parent.hash ~seed alice in
+  let alice_star = Option.map (build ~encode:(Direct.encode direct_cfg)) star_prm in
   let hash_bytes = Bytes.create 8 in
-  Buf.set_int_le hash_bytes 0 alice_hash;
+  Buf.set_int_le hash_bytes 0 (Parent.stream_hash ~seed alice);
+  let body = function None -> Bytes.empty | Some tbl -> Iblt.body_bytes tbl in
   let payload =
     Buf.append_all
-      (Array.to_list
-         (Array.map (function None -> Bytes.empty | Some tbl -> Iblt.body_bytes tbl) alice_tables)
-      @ [ (match alice_star with None -> Bytes.empty | Some tbl -> Iblt.body_bytes tbl); hash_bytes ])
+      (Array.to_list (Array.map body alice_tables) @ [ body alice_star; hash_bytes ])
   in
   match Comm.xfer comm Comm.A_to_b ~label:"cascade-tables+hash" payload with
   | Error `Lost -> Error `Decode_failure
@@ -111,123 +103,83 @@ let run ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~alice ~bob =
   let parse_table = function
     | None -> None
     | Some prm -> (
-      match Codec.take r (Iblt.body_length prm) with
+      match Option.bind (Codec.take r (Iblt.body_length prm)) (Iblt.of_body_bytes_opt prm) with
       | None ->
         parse_ok := false;
         None
-      | Some body -> (
-        match Iblt.of_body_bytes_opt prm body with
-        | None ->
-          parse_ok := false;
-          None
-        | Some tbl -> Some tbl))
+      | Some tbl -> Some tbl)
   in
-  let alice_tables = Array.make (t + 1) None in
-  for i = 0 to t do
-    alice_tables.(i) <- parse_table outers.(i)
-  done;
+  let alice_tables = Array.map parse_table outers in
   let alice_star = parse_table star_prm in
-  let alice_hash = match Codec.int62 r with Some h when Codec.at_end r -> h | _ -> -1 in
-  if (not !parse_ok) || alice_hash < 0 then Error `Decode_failure
+  let alice_digest = match Codec.int62 r with Some g when Codec.at_end r -> g | _ -> -1 in
+  if (not !parse_ok) || alice_digest < 0 then Error `Decode_failure
   else begin
-  (* ---- Bob. ---- *)
-  let bob_children = Parent.children bob in
-  let da = ref [] in
-  let per_level = Array.make (t + if use_star then 1 else 0) 0 in
-  let da_tbl = Iset.Tbl.create 64 in
-  let da_mem c = Iset.Tbl.mem da_tbl c in
-  let add_da c =
-    if not (da_mem c) then begin
-      Iset.Tbl.replace da_tbl c ();
-      da := c :: !da
-    end
-  in
-  (* Level 1: identify D_B and recover what the tiny tables allow. *)
-  let level1 = Option.get alice_tables.(1) in
+  (* ---- Bob. Level 1: identify D_B and recover what the tiny tables
+     allow. ---- *)
   let bob_l1 = Iblt.create (Option.get outers.(1)) in
-  let bob_enc1 =
-    Par.map_list (fun c -> (Encoding.encode cfgs.(1) c, c)) bob_children
+  let child_of_key =
+    Parent.stream_iter_indexed ~seed bob ~encode:(Encoding.encode cfgs.(1))
+      ~sink:(Iblt.add_all bob_l1)
   in
-  Iblt.add_all bob_l1 (Array.of_list (List.map fst bob_enc1));
-  match Iblt.decode (Iblt.subtract level1 bob_l1) with
+  match Iblt.decode (Iblt.subtract (Option.get alice_tables.(1)) bob_l1) with
   | Error `Peel_stuck -> Error `Decode_failure
   | Ok { positives; negatives } -> (
-    let by_key = Hashtbl.create (2 * List.length bob_enc1) in
-    List.iter
-      (fun (key, c) -> if not (Hashtbl.mem by_key key) then Hashtbl.add by_key key c)
-      bob_enc1;
-    let db = List.filter_map (fun neg -> Hashtbl.find_opt by_key neg) negatives in
+    let db = List.filter_map child_of_key negatives in
     if List.length db <> List.length negatives then Error `Decode_failure
     else begin
       let db_tbl = Iset.Tbl.create (List.length db) in
       List.iter (fun c -> Iset.Tbl.replace db_tbl c ()) db;
-      let db_mem c = Iset.Tbl.mem db_tbl c in
+      let da = ref [] in
+      let da_tbl = Iset.Tbl.create 64 in
+      let per_level = Array.make (t + if use_star then 1 else 0) 0 in
+      (* Record a recovered child once, crediting the slot it surfaced at. *)
+      let add_da slot child =
+        if not (Iset.Tbl.mem da_tbl child) then begin
+          Iset.Tbl.replace da_tbl child ();
+          da := child :: !da;
+          per_level.(slot) <- per_level.(slot) + 1
+        end
+      in
       let try_level i keys =
-        let recovered_here = ref 0 in
         List.iter
           (fun alice_key ->
-            match
-              List.find_map (fun bob_child -> Encoding.try_recover cfgs.(i) ~alice_key ~bob_child) db
-            with
-            | Some child ->
-              if not (da_mem child) then begin
-                add_da child;
-                incr recovered_here
-              end
-            | None -> ())
-          keys;
-        per_level.(i - 1) <- !recovered_here
+            Option.iter (add_da (i - 1))
+              (List.find_map
+                 (fun bob_child -> Encoding.try_recover cfgs.(i) ~alice_key ~bob_child)
+                 db))
+          keys
+      in
+      (* Alice's table minus everything Bob can account for (his children
+         outside D_B, and what he recovered so far) leaves her
+         still-unrecovered children. *)
+      let leftovers table ~encode =
+        let table = Iblt.copy table in
+        Parent.stream_iter_encoded bob
+          ~keep:(fun c -> not (Iset.Tbl.mem db_tbl c))
+          ~encode ~sink:(Iblt.delete_all table);
+        Iblt.delete_all table (Array.of_list (List.map encode !da));
+        Iblt.decode table
       in
       try_level 1 positives;
-      (* Levels 2..t: delete everything Bob can account for, decode the
-         leftovers (Alice's still-unrecovered children), pair them up. *)
+      (* Levels 2..t: pair the leftovers up with D_B. *)
       for i = 2 to t do
-        let cfg = cfgs.(i) in
-        let table = Iblt.copy (Option.get alice_tables.(i)) in
-        let dels =
-          List.filter_map
-            (fun c -> if db_mem c then None else Some (Encoding.encode cfg c))
-            bob_children
-          @ List.map (Encoding.encode cfg) !da
-        in
-        Iblt.delete_all table (Array.of_list dels);
-        match Iblt.decode table with
+        match leftovers (Option.get alice_tables.(i)) ~encode:(Encoding.encode cfgs.(i)) with
         | Error `Peel_stuck -> () (* recovered at a later level or T* *)
         | Ok { positives; negatives = _ } -> try_level i positives
       done;
       (* T*: direct encodings as the final backstop. *)
-      (match (alice_star, star_prm) with
-      | Some star, Some _ ->
-        let table = Iblt.copy star in
-        let dels =
-          List.filter_map
-            (fun c -> if db_mem c then None else Some (Direct.encode direct_cfg c))
-            bob_children
-          @ List.map (Direct.encode direct_cfg) !da
-        in
-        Iblt.delete_all table (Array.of_list dels);
-        (match Iblt.decode table with
-        | Error `Peel_stuck -> ()
-        | Ok { positives; negatives = _ } ->
-          let recovered_here = ref 0 in
-          List.iter
-            (fun key ->
-              match Direct.decode direct_cfg key with
-              | Some child ->
-                if not (da_mem child) then begin
-                  add_da child;
-                  incr recovered_here
-                end
-              | None -> ())
-            positives;
-          per_level.(t) <- !recovered_here)
-      | _ -> ());
-      let remaining = List.filter (fun c -> not (db_mem c)) bob_children in
-      let recovered = Parent.of_children (!da @ remaining) in
-      if Parent.hash ~seed recovered = alice_hash then
+      Option.iter
+        (fun star ->
+          match leftovers star ~encode:(Direct.encode direct_cfg) with
+          | Error `Peel_stuck -> ()
+          | Ok { positives; negatives = _ } ->
+            List.iter (fun key -> Option.iter (add_da t) (Direct.decode direct_cfg key)) positives)
+        alice_star;
+      let delta : Parent.delta = { a_only = !da; b_only = db } in
+      if Parent.delta_digest ~seed ~base:(Parent.stream_hash ~seed bob) delta = alice_digest then
         Ok
           {
-            recovered;
+            recovered = delta;
             levels = t;
             used_star = use_star;
             recovered_per_level = per_level;
@@ -237,208 +189,18 @@ let run ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~alice ~bob =
     end)
   end)
 
-type stream_outcome = { delta : Parent.delta; levels : int; used_star : bool; stats : Comm.stats }
-
-let stream_fp_tag = 0xF19C
-
-(* Streaming build: one chunked pass per level (and per side), so at most
-   one encoding chunk is live at a time; Bob's levels >= 2 use
-   [alice_i - bob_i + db - da], which is cell-for-cell identical to the
-   materialized version's "delete everything Bob can account for" sweep
-   (XOR cancels, and add-then-delete of a shared child nets a zero count).
-   The 8-byte guard carries [Parent.stream_hash] instead of the canonical
-   sorted-children hash; Bob verifies it incrementally from the delta. *)
-let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~(alice : Parent.stream)
-    ~(bob : Parent.stream) =
-  let enc_seed = Option.value enc_seed ~default:seed in
-  let t = num_levels ~d ~h in
-  let use_star = h <= d in
-  let cfgs = Array.init (t + 1) (fun i -> level_config ~seed:enc_seed ~s_bound ~t ~k i) in
-  let outer_bound i = if i = 1 then 2 * d_hat else max 4 (min d_hat ((3 * d) lsr i)) in
-  let outers =
-    Array.init (t + 1) (fun i ->
-        if i = 0 then None
-        else
-          Some
-            (outer_params ~seed ~k ~key_len:(Encoding.key_length cfgs.(i)) ~diff_bound:(outer_bound i) i))
-  in
-  let direct_cfg : Direct.config = { u; h } in
-  let star_prm =
-    if use_star then
-      Some
-        (outer_params ~seed ~k ~key_len:(Direct.key_length direct_cfg)
-           ~diff_bound:(max 4 (Bits.ceil_div (3 * d) (max 1 h)))
-           0x55)
-    else None
-  in
-  (* ---- Alice: one chunked pass per level table. ---- *)
-  let alice_tables =
-    Array.init (t + 1) (fun i ->
-        match outers.(i) with
-        | None -> None
-        | Some prm ->
-          let table = Iblt.create prm in
-          Parent.stream_iter_encoded alice ~encode:(Encoding.encode cfgs.(i))
-            ~sink:(Iblt.add_all table);
-          Some table)
-  in
-  let alice_star =
-    Option.map
-      (fun prm ->
-        let table = Iblt.create prm in
-        Parent.stream_iter_encoded alice ~encode:(Direct.encode direct_cfg)
-          ~sink:(Iblt.add_all table);
-        table)
-      star_prm
-  in
-  let alice_digest = Parent.stream_hash ~seed alice in
-  let hash_bytes = Bytes.create 8 in
-  Buf.set_int_le hash_bytes 0 alice_digest;
-  let payload =
-    Buf.append_all
-      (Array.to_list
-         (Array.map (function None -> Bytes.empty | Some tbl -> Iblt.body_bytes tbl) alice_tables)
-      @ [ (match alice_star with None -> Bytes.empty | Some tbl -> Iblt.body_bytes tbl); hash_bytes ])
-  in
-  match Comm.xfer comm Comm.A_to_b ~label:"cascade-tables+digest" payload with
-  | Error `Lost -> Error `Decode_failure
-  | Ok delivered -> (
-  let r = Codec.reader delivered in
-  let parse_ok = ref true in
-  let parse_table = function
-    | None -> None
-    | Some prm -> (
-      match Codec.take r (Iblt.body_length prm) with
-      | None ->
-        parse_ok := false;
-        None
-      | Some body -> (
-        match Iblt.of_body_bytes_opt prm body with
-        | None ->
-          parse_ok := false;
-          None
-        | Some tbl -> Some tbl))
-  in
-  let alice_tables = Array.make (t + 1) None in
-  for i = 0 to t do
-    alice_tables.(i) <- parse_table outers.(i)
-  done;
-  let alice_star = parse_table star_prm in
-  let alice_digest = match Codec.int62 r with Some g when Codec.at_end r -> g | _ -> -1 in
-  if (not !parse_ok) || alice_digest < 0 then Error `Decode_failure
-  else begin
-  (* ---- Bob: chunked level builds; level 1 also records a
-     fingerprint -> positions index so negatives map back to his children
-     (candidates verified by re-encoding — a cache hit). ---- *)
-  let fp_fn = Hashing.make ~seed ~tag:stream_fp_tag in
-  let fp_of = Hashing.hash_bytes fp_fn in
-  let fp_tbl : (int, int list) Hashtbl.t = Hashtbl.create (2 * bob.Parent.length) in
-  let bob_tables =
-    Array.init (t + 1) (fun i ->
-        match outers.(i) with
-        | None -> None
-        | Some prm ->
-          let table = Iblt.create prm in
-          (if i = 1 then begin
-             let base = ref 0 in
-             Parent.stream_iter_encoded bob ~encode:(Encoding.encode cfgs.(i))
-               ~sink:(fun keys ->
-                 Array.iteri
-                   (fun j key ->
-                     let f = fp_of key in
-                     let prev = Option.value (Hashtbl.find_opt fp_tbl f) ~default:[] in
-                     Hashtbl.replace fp_tbl f ((!base + j) :: prev))
-                   keys;
-                 Iblt.add_all table keys;
-                 base := !base + Array.length keys)
-           end
-           else
-             Parent.stream_iter_encoded bob ~encode:(Encoding.encode cfgs.(i))
-               ~sink:(Iblt.add_all table));
-          Some table)
-  in
-  let bob_star =
-    Option.map
-      (fun prm ->
-        let table = Iblt.create prm in
-        Parent.stream_iter_encoded bob ~encode:(Direct.encode direct_cfg)
-          ~sink:(Iblt.add_all table);
-        table)
-      star_prm
-  in
-  let bob_digest = Parent.stream_hash ~seed bob in
-  let da = ref [] in
-  let da_tbl = Iset.Tbl.create 64 in
-  let da_mem c = Iset.Tbl.mem da_tbl c in
-  let add_da c =
-    if not (da_mem c) then begin
-      Iset.Tbl.replace da_tbl c ();
-      da := c :: !da
-    end
-  in
-  match Iblt.decode (Iblt.subtract (Option.get alice_tables.(1)) (Option.get bob_tables.(1))) with
-  | Error `Peel_stuck -> Error `Decode_failure
-  | Ok { positives; negatives } -> (
-    let child_of_neg neg =
-      let candidates = Option.value (Hashtbl.find_opt fp_tbl (fp_of neg)) ~default:[] in
-      List.find_map
-        (fun i ->
-          let c = bob.Parent.child i in
-          if Bytes.equal (Encoding.encode cfgs.(1) c) neg then Some c else None)
-        (List.rev candidates)
-    in
-    let db = List.filter_map child_of_neg negatives in
-    if List.length db <> List.length negatives then Error `Decode_failure
-    else begin
-      let try_level i keys =
-        List.iter
-          (fun alice_key ->
-            match
-              List.find_map (fun bob_child -> Encoding.try_recover cfgs.(i) ~alice_key ~bob_child) db
-            with
-            | Some child -> add_da child
-            | None -> ())
-          keys
-      in
-      try_level 1 positives;
-      for i = 2 to t do
-        let cfg = cfgs.(i) in
-        let table = Iblt.subtract (Option.get alice_tables.(i)) (Option.get bob_tables.(i)) in
-        Iblt.add_all table (Array.of_list (List.map (Encoding.encode cfg) db));
-        Iblt.delete_all table (Array.of_list (List.map (Encoding.encode cfg) !da));
-        match Iblt.decode table with
-        | Error `Peel_stuck -> () (* recovered at a later level or T* *)
-        | Ok { positives; negatives = _ } -> try_level i positives
-      done;
-      (match (alice_star, bob_star) with
-      | Some star, Some bstar ->
-        let table = Iblt.subtract star bstar in
-        Iblt.add_all table (Array.of_list (List.map (Direct.encode direct_cfg) db));
-        Iblt.delete_all table (Array.of_list (List.map (Direct.encode direct_cfg) !da));
-        (match Iblt.decode table with
-        | Error `Peel_stuck -> ()
-        | Ok { positives; negatives = _ } ->
-          List.iter
-            (fun key ->
-              match Direct.decode direct_cfg key with
-              | Some child -> add_da child
-              | None -> ())
-            positives)
-      | _ -> ());
-      let delta : Parent.delta = { a_only = !da; b_only = db } in
-      if Parent.delta_digest ~seed ~base:bob_digest delta = alice_digest then
-        Ok { delta; levels = t; used_star = use_star; stats = Comm.stats comm }
-      else Error `Decode_failure
-    end)
-  end)
+(* The materialized entry points are views of [run]: stream both parents,
+   then apply the recovered delta to Bob. *)
+let via_stream comm ~alice ~bob run =
+  match run ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob) with
+  | Ok o -> Ok { o with recovered = Parent.apply_delta bob o.recovered }
+  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
 
 let reconcile_known ~seed ~d ~u ~h ?d_hat ?s_bound ?(k = 3) ~alice ~bob () =
   let s_bound = match s_bound with Some s -> s | None -> max 2 (Parent.cardinal bob) in
   let d_hat = match d_hat with Some dh -> dh | None -> min d s_bound in
   let comm = Comm.create () in
-  match run ~comm ~seed ~enc_seed:None ~d ~d_hat ~s_bound ~u ~h ~k ~alice ~bob with
-  | Ok o -> Ok o
-  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
+  via_stream comm ~alice ~bob (run ~comm ~seed ~enc_seed:None ~d ~d_hat ~s_bound ~u ~h ~k)
 
 let reconcile_unknown ~seed ~u ~h ?s_bound ?(k = 3) ?(max_d = 1 lsl 22) ~alice ~bob () =
   let s_bound = match s_bound with Some s -> s | None -> max 2 (Parent.cardinal bob) in
@@ -447,13 +209,10 @@ let reconcile_unknown ~seed ~u ~h ?s_bound ?(k = 3) ?(max_d = 1 lsl 22) ~alice ~
     if d > max_d then Error (`Decode_failure (Comm.stats comm))
     else begin
       let d_hat = min d s_bound in
-      match
-        run ~comm
-          ~seed:(Prng.derive ~seed ~tag:(0xCC0 + Bits.ceil_log2 (d + 1)))
-          ~enc_seed:None ~d ~d_hat ~s_bound ~u ~h ~k ~alice ~bob
-      with
+      let seed = Prng.derive ~seed ~tag:(0xCC0 + Bits.ceil_log2 (d + 1)) in
+      match via_stream comm ~alice ~bob (run ~comm ~seed ~enc_seed:None ~d ~d_hat ~s_bound ~u ~h ~k) with
       | Ok o -> Ok o
-      | Error `Decode_failure ->
+      | Error _ ->
         Ssr_obs.Metrics.incr m_retries;
         Comm.send comm Comm.B_to_a ~label:"retry" ~bits:8;
         attempt (2 * d)

@@ -17,8 +17,8 @@
     is not fatal — the child is simply recovered at a higher level), which
     is exactly the structure of the paper's X_i / Y_i analysis. *)
 
-type outcome = {
-  recovered : Parent.t;
+type 'r outcome = {
+  recovered : 'r;  (** What Bob learned: the delta from {!run}, Alice's parent from the wrappers. *)
   levels : int;  (** Number of cascade levels used (the paper's t). *)
   used_star : bool;  (** Whether the direct-encoding table T* was sent. *)
   recovered_per_level : int array;  (** Children recovered at each level (and at T* last if present). *)
@@ -29,40 +29,29 @@ type error = [ `Decode_failure of Ssr_setrecon.Comm.stats ]
 
 val reconcile_known :
   seed:int64 -> d:int -> u:int -> h:int -> ?d_hat:int -> ?s_bound:int -> ?k:int ->
-  alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
+  alice:Parent.t -> bob:Parent.t -> unit -> (Parent.t outcome, error) result
 (** Theorem 3.7: one round (all level tables in a single message). [u] and
     [h] size the T* direct encoding; [h] should bound every child's size. *)
 
 val reconcile_unknown :
   seed:int64 -> u:int -> h:int -> ?s_bound:int -> ?k:int -> ?max_d:int ->
-  alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
+  alice:Parent.t -> bob:Parent.t -> unit -> (Parent.t outcome, error) result
 (** Corollary 3.8: repeated doubling on d; O(log d) rounds. *)
 
 val run :
   comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option -> d:int -> d_hat:int ->
   s_bound:int -> u:int -> h:int -> k:int ->
-  alice:Parent.t -> bob:Parent.t -> (outcome, [ `Decode_failure ]) result
+  alice:Parent.stream -> bob:Parent.stream ->
+  (Parent.delta outcome, [ `Decode_failure ]) result
 (** One attempt threaded through a caller-supplied recorder (for retry
     drivers and transports); the outcome's stats are cumulative for [comm].
+    Every table is built by a chunked pass (bounded memory, one encoding
+    chunk live at a time) and the result is the O(d) delta, verified
+    against Alice's {!Parent.stream_hash}. Bob builds his level >= 2 and T*
+    tables only after a successful level-1 decode. The wrappers above run
+    it on {!Parent.stream_of_t} views and apply the delta.
     [enc_seed] (default: [seed]) salts only the per-level child-encoding
     configs: a retry driver that pins it across attempts re-derives
     identical child encodings, so the {!Enc_cache} carries the per-level
     encoding sweeps between escalation rungs. Outer and T* tables stay
     salted by the per-attempt [seed]. *)
-
-type stream_outcome = {
-  delta : Parent.delta;
-  levels : int;
-  used_star : bool;
-  stats : Ssr_setrecon.Comm.stats;
-}
-
-val run_stream :
-  comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option -> d:int -> d_hat:int ->
-  s_bound:int -> u:int -> h:int -> k:int ->
-  alice:Parent.stream -> bob:Parent.stream ->
-  (stream_outcome, [ `Decode_failure ]) result
-(** [run] over {!Parent.stream} views: every level is built by a chunked
-    pass (bounded memory, one encoding chunk live at a time) and the result
-    is the O(d) delta. Wire format matches [run] except the 8-byte guard
-    carries {!Parent.stream_hash}. *)

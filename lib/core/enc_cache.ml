@@ -48,6 +48,10 @@ let bytes_used = ref 0
 let hit_count = ref 0
 let miss_count = ref 0
 
+(* Inside [deferring], misses queue here instead of entering the table. *)
+let deferring_depth = Atomic.make 0
+let pending : (key * Bytes.t * int) list ref = ref []
+
 let locked f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
@@ -62,6 +66,7 @@ let set_capacity_bytes n =
 let clear () =
   locked (fun () ->
       H.reset table;
+      pending := [];
       bytes_used := 0;
       hit_count := 0;
       miss_count := 0)
@@ -69,6 +74,25 @@ let clear () =
 let stats () =
   locked (fun () ->
       { hits = !hit_count; misses = !miss_count; entries = H.length table; bytes = !bytes_used })
+
+(* Heap bytes one entry keeps alive, charged against the budget: the value
+   (header + padded payload), the key record and its boxed seed, the child
+   set the key retains (an int array, kept alive even after the caller
+   drops it), and the table's bucket cell plus its bucket-array slot. *)
+let entry_bytes ~child v =
+  let word = Sys.word_size / 8 in
+  let value = (Bytes.length v / word) + 2 in
+  let key = 7 + 3 in
+  let child = Iset.cardinal child + 1 in
+  let bucket = 4 + 1 in
+  word * (value + key + child + bucket)
+
+(* Under the lock. *)
+let admit key v cost =
+  if not (H.mem table key) then begin
+    H.add table key v;
+    bytes_used := !bytes_used + cost
+  end
 
 let find_or_add ~kind ~cells ~k ~bits ~seed ~child compute =
   if not (Atomic.get enabled) then compute ()
@@ -90,10 +114,29 @@ let find_or_add ~kind ~cells ~k ~bits ~seed ~child compute =
          proceed in parallel; a racing duplicate compute yields identical
          bytes, and first-writer-wins keeps the byte budget accurate. *)
       let v = compute () in
+      let cost = entry_bytes ~child v in
+      (* Inside a batch [bytes_used] cannot move, so an entry that does not
+         fit on its own is dropped at once rather than kept alive (with
+         its child) until the batch ends. *)
       locked (fun () ->
-          if not (H.mem table key) && !bytes_used + Bytes.length v <= Atomic.get capacity then begin
-            H.add table key v;
-            bytes_used := !bytes_used + Bytes.length v
-          end);
+          if !bytes_used + cost <= Atomic.get capacity then
+            if Atomic.get deferring_depth > 0 then pending := (key, v, cost) :: !pending
+            else admit key v cost);
       v
   end
+
+(* A parallel batch admits its misses all together or not at all once it
+   ends: the set of misses does not depend on scheduling (lookups inside
+   the batch see only what was there before it), while first-come
+   admission into the last free bytes would, and with it every later hit
+   and every work counter. *)
+let deferring f =
+  Atomic.incr deferring_depth;
+  Fun.protect f ~finally:(fun () ->
+      if Atomic.fetch_and_add deferring_depth (-1) = 1 then
+        locked (fun () ->
+            let batch = !pending in
+            pending := [];
+            let cost = List.fold_left (fun acc (_, _, c) -> acc + c) 0 batch in
+            if !bytes_used + cost <= Atomic.get capacity then
+              List.iter (fun (key, v, c) -> admit key v c) batch))

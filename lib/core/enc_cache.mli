@@ -32,6 +32,15 @@ val find_or_add :
     (0 = child IBLT encodings, 1 = direct encodings). With the cache
     disabled this is just [compute ()]. *)
 
+val deferring : (unit -> 'a) -> 'a
+(** [deferring f] runs [f] (typically one parallel encoding batch) with
+    admissions held back: lookups see only the entries present before [f],
+    and when it ends its misses are admitted all together if they fit the
+    budget, or not at all. Which entries the cache holds — and so every
+    later hit and work counter — is then the same at any domain-pool size,
+    even when the budget runs out mid-batch. Enter it from one domain at a
+    time. *)
+
 val set_enabled : bool -> unit
 (** Toggle the cache (default: enabled). Disabling does not drop existing
     entries; combine with {!clear} for differential cached-vs-uncached
@@ -40,14 +49,21 @@ val set_enabled : bool -> unit
 val is_enabled : unit -> bool
 
 val set_capacity_bytes : int -> unit
-(** Byte budget for cached values (default 256 MiB). When full, further
-    inserts are skipped — lookups still hit what fits, and correctness is
+(** Byte budget for the heap the cache keeps alive (default 256 MiB). Each
+    entry is charged its value, its key record, the child set the key
+    retains and its hash-table bucket. When full, further inserts are
+    skipped — lookups still hit what fits, and correctness is
     unaffected. *)
 
 val clear : unit -> unit
 (** Drop every entry and reset the statistics. *)
 
-type stats = { hits : int; misses : int; entries : int; bytes : int }
+type stats = {
+  hits : int;
+  misses : int;
+  entries : int;
+  bytes : int;  (** Heap bytes charged against the budget. *)
+}
 
 val stats : unit -> stats
 (** Hit/miss counts are informational: under a parallel pool two domains

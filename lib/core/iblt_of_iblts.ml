@@ -1,16 +1,11 @@
-module Iset = Ssr_util.Iset
 module Bits = Ssr_util.Bits
 module Prng = Ssr_util.Prng
-module Buf = Ssr_util.Buf
-module Codec = Ssr_util.Codec
-module Hashing = Ssr_util.Hashing
-module Par = Ssr_util.Par
 module Iblt = Ssr_sketch.Iblt
 module Comm = Ssr_setrecon.Comm
 
 let m_retries = Ssr_obs.Metrics.counter "proto.iblt-of-iblts.retries"
 
-type outcome = { recovered : Parent.t; differing_pairs : int; stats : Comm.stats }
+type 'r outcome = { recovered : 'r; differing_pairs : int; stats : Comm.stats }
 
 type error = [ `Decode_failure of Comm.stats ]
 
@@ -24,100 +19,15 @@ let config ~seed ~d ~s_bound ~k : Encoding.config =
     seed;
   }
 
-(* [enc_seed] (default: the run seed) salts the child-encoding config only;
-   outer tables stay salted by the per-attempt run seed. Resilient pins it
-   to the base seed so escalation rungs re-derive identical child-encoding
-   configs and the encoding cache carries the work across attempts. *)
-let run ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~k ~alice ~bob =
-  let enc_seed = Option.value enc_seed ~default:seed in
-  let cfg = config ~seed:enc_seed ~d ~s_bound ~k in
-  let outer_prm : Iblt.params =
-    {
-      cells = Iblt.recommended_cells ~k ~diff_bound:(2 * d_hat);
-      k;
-      key_len = Encoding.key_length cfg;
-      seed = Prng.derive ~seed ~tag:0x07E5;
-    }
-  in
-  (* Alice: encode every child and ship the outer table as real bytes.
-     Child encodings (an inner IBLT each) are pure and independent, so a
-     parallel pool builds them concurrently; the inserts land in one
-     batched sweep (bit-identical to serial insertion). *)
-  let outer = Iblt.create outer_prm in
-  Iblt.add_all outer
-    (Array.of_list (Par.map_list (Encoding.encode cfg) (Parent.children alice)));
-  let alice_hash = Parent.hash ~seed alice in
-  let hash_bytes = Bytes.create 8 in
-  Buf.set_int_le hash_bytes 0 alice_hash;
-  let payload = Bytes.cat (Iblt.body_bytes outer) hash_bytes in
-  match Comm.xfer comm Comm.A_to_b ~label:"outer-iblt+hash" payload with
-  | Error `Lost -> Error `Decode_failure
-  | Ok delivered -> (
-  let r = Codec.reader delivered in
-  let parsed =
-    match (Codec.take r (Iblt.body_length outer_prm), Codec.int62 r) with
-    | Some body, Some h when Codec.at_end r ->
-      Option.map (fun t -> (t, h)) (Iblt.of_body_bytes_opt outer_prm body)
-    | _ -> None
-  in
-  match parsed with
-  | None -> Error `Decode_failure
-  | Some (outer, alice_hash) -> (
-  (* Bob: delete his encodings and peel out the differing ones. *)
-  let bob_encodings =
-    Par.map_list (fun c -> (Encoding.encode cfg c, c)) (Parent.children bob)
-  in
-  let bob_outer = Iblt.create outer_prm in
-  Iblt.add_all bob_outer (Array.of_list (List.map fst bob_encodings));
-  match Iblt.decode (Iblt.subtract outer bob_outer) with
-  | Error `Peel_stuck -> Error `Decode_failure
-  | Ok { positives; negatives } -> (
-    (* D_B: Bob's children whose encodings surfaced as negatives. Indexed
-       by key bytes: the linear scan per negative was O(s * d). *)
-    let by_key = Hashtbl.create (2 * List.length bob_encodings) in
-    List.iter
-      (fun (key, c) -> if not (Hashtbl.mem by_key key) then Hashtbl.add by_key key c)
-      bob_encodings;
-    let db = List.filter_map (fun neg -> Hashtbl.find_opt by_key neg) negatives in
-    if List.length db <> List.length negatives then Error `Decode_failure
-    else begin
-      (* Pair each of Alice's differing child IBLTs with one of Bob's. *)
-      let recover_one alice_key =
-        List.find_map (fun bob_child -> Encoding.try_recover cfg ~alice_key ~bob_child) db
-      in
-      let rec recover_all keys acc =
-        match keys with
-        | [] -> Some acc
-        | key :: rest -> (
-          match recover_one key with None -> None | Some child -> recover_all rest (child :: acc))
-      in
-      match recover_all positives [] with
-      | None -> Error `Decode_failure
-      | Some da ->
-        let db_tbl = Iset.Tbl.create (List.length db) in
-        List.iter (fun c -> Iset.Tbl.replace db_tbl c ()) db;
-        let remaining =
-          List.filter (fun c -> not (Iset.Tbl.mem db_tbl c)) (Parent.children bob)
-        in
-        let recovered = Parent.of_children (da @ remaining) in
-        if Parent.hash ~seed recovered = alice_hash then
-          Ok { recovered; differing_pairs = List.length positives; stats = Comm.stats comm }
-        else Error `Decode_failure
-    end)))
-
-type stream_outcome = { delta : Parent.delta; differing_pairs : int; stats : Comm.stats }
-
-(* Fingerprint salt for mapping peeled-out negative keys back to Bob's
-   child positions without rescanning the stream. *)
-let stream_fp_tag = 0xF19B
-
-(* Streaming build: same wire bytes as [run] except the 8-byte guard is the
-   order-independent [Parent.stream_hash] digest (Bob verifies it
-   incrementally from the recovered delta), because the canonical
-   [Parent.hash] needs sorted children — impossible without materializing.
-   Both sides hold one encoding chunk plus O(s) fingerprints at a time,
-   never the parent itself. *)
-let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~k ~(alice : Parent.stream)
+(* Both sides build from streams: they hold one encoding chunk plus O(s)
+   fingerprints at a time, never the parent itself. The 8-byte guard is
+   Alice's [Parent.stream_hash], which Bob checks incrementally from the
+   recovered delta. [enc_seed] (default: the run seed) salts the
+   child-encoding config only; outer tables stay salted by the per-attempt
+   run seed. Resilient pins it to the base seed so escalation rungs
+   re-derive identical child-encoding configs and the encoding cache
+   carries the work across attempts. *)
+let run ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~k ~(alice : Parent.stream)
     ~(bob : Parent.stream) =
   let enc_seed = Option.value enc_seed ~default:seed in
   let cfg = config ~seed:enc_seed ~d ~s_bound ~k in
@@ -129,56 +39,27 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~k ~(alice : Parent.stre
       seed = Prng.derive ~seed ~tag:0x07E5;
     }
   in
+  (* Alice: encode every child (a pure, independent inner IBLT each, so the
+     pool builds a chunk concurrently) and ship the outer table as bytes. *)
   let outer = Iblt.create outer_prm in
   Parent.stream_iter_encoded alice ~encode:(Encoding.encode cfg) ~sink:(Iblt.add_all outer);
-  let alice_digest = Parent.stream_hash ~seed alice in
-  let hash_bytes = Bytes.create 8 in
-  Buf.set_int_le hash_bytes 0 alice_digest;
-  let payload = Bytes.cat (Iblt.body_bytes outer) hash_bytes in
-  match Comm.xfer comm Comm.A_to_b ~label:"outer-iblt+digest" payload with
-  | Error `Lost -> Error `Decode_failure
-  | Ok delivered -> (
-  let r = Codec.reader delivered in
-  let parsed =
-    match (Codec.take r (Iblt.body_length outer_prm), Codec.int62 r) with
-    | Some body, Some h when Codec.at_end r ->
-      Option.map (fun t -> (t, h)) (Iblt.of_body_bytes_opt outer_prm body)
-    | _ -> None
-  in
-  match parsed with
+  match
+    Parent.xfer_guarded comm ~label:"outer-iblt+hash" outer_prm outer
+      ~guard:(Parent.stream_hash ~seed alice)
+  with
   | None -> Error `Decode_failure
   | Some (outer, alice_digest) -> (
-  (* Bob: same chunked build, plus a fingerprint -> positions index so a
-     differing key maps back to his child (verified by re-encoding it — a
-     cache hit) instead of a linear rescan. *)
-  let fp_fn = Hashing.make ~seed ~tag:stream_fp_tag in
-  let fp_of = Hashing.hash_bytes fp_fn in
-  let fp_tbl : (int, int list) Hashtbl.t = Hashtbl.create (2 * bob.Parent.length) in
+  (* Bob: same chunked build, indexed so a differing key maps back to his
+     child instead of a linear rescan. *)
   let bob_outer = Iblt.create outer_prm in
-  let base = ref 0 in
-  Parent.stream_iter_encoded bob ~encode:(Encoding.encode cfg)
-    ~sink:(fun keys ->
-      Array.iteri
-        (fun j key ->
-          let f = fp_of key in
-          let prev = Option.value (Hashtbl.find_opt fp_tbl f) ~default:[] in
-          Hashtbl.replace fp_tbl f ((!base + j) :: prev))
-        keys;
-      Iblt.add_all bob_outer keys;
-      base := !base + Array.length keys);
+  let child_of_key =
+    Parent.stream_iter_indexed ~seed bob ~encode:(Encoding.encode cfg) ~sink:(Iblt.add_all bob_outer)
+  in
   let bob_digest = Parent.stream_hash ~seed bob in
   match Iblt.decode (Iblt.subtract outer bob_outer) with
   | Error `Peel_stuck -> Error `Decode_failure
   | Ok { positives; negatives } -> (
-    let child_of_neg neg =
-      let candidates = Option.value (Hashtbl.find_opt fp_tbl (fp_of neg)) ~default:[] in
-      List.find_map
-        (fun i ->
-          let c = bob.Parent.child i in
-          if Bytes.equal (Encoding.encode cfg c) neg then Some c else None)
-        (List.rev candidates)
-    in
-    let db = List.filter_map child_of_neg negatives in
+    let db = List.filter_map child_of_key negatives in
     if List.length db <> List.length negatives then Error `Decode_failure
     else begin
       let recover_one alice_key =
@@ -195,17 +76,22 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~k ~(alice : Parent.stre
       | Some da ->
         let delta : Parent.delta = { a_only = da; b_only = db } in
         if Parent.delta_digest ~seed ~base:bob_digest delta = alice_digest then
-          Ok { delta; differing_pairs = List.length positives; stats = Comm.stats comm }
+          Ok { recovered = delta; differing_pairs = List.length positives; stats = Comm.stats comm }
         else Error `Decode_failure
-    end)))
+    end))
+
+(* The materialized entry points are views of [run]: stream both parents,
+   then apply the recovered delta to Bob. *)
+let via_stream comm ~alice ~bob run =
+  match run ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob) with
+  | Ok o -> Ok { o with recovered = Parent.apply_delta bob o.recovered }
+  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
 
 let reconcile_known ~seed ~d ?d_hat ?s_bound ?(k = 4) ~alice ~bob () =
   let s_bound = match s_bound with Some s -> s | None -> max 2 (Parent.cardinal bob) in
   let d_hat = match d_hat with Some dh -> dh | None -> min d s_bound in
   let comm = Comm.create () in
-  match run ~comm ~seed ~enc_seed:None ~d ~d_hat ~s_bound ~k ~alice ~bob with
-  | Ok o -> Ok o
-  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
+  via_stream comm ~alice ~bob (run ~comm ~seed ~enc_seed:None ~d ~d_hat ~s_bound ~k)
 
 let reconcile_unknown ~seed ?s_bound ?(k = 4) ?(max_d = 1 lsl 22) ~alice ~bob () =
   let s_bound = match s_bound with Some s -> s | None -> max 2 (Parent.cardinal bob) in
@@ -214,9 +100,10 @@ let reconcile_unknown ~seed ?s_bound ?(k = 4) ?(max_d = 1 lsl 22) ~alice ~bob ()
     if d > max_d then Error (`Decode_failure (Comm.stats comm))
     else begin
       let d_hat = min d s_bound in
-      match run ~comm ~seed:(Prng.derive ~seed ~tag:(0xD0 + Bits.ceil_log2 (d + 1))) ~enc_seed:None ~d ~d_hat ~s_bound ~k ~alice ~bob with
+      let seed = Prng.derive ~seed ~tag:(0xD0 + Bits.ceil_log2 (d + 1)) in
+      match via_stream comm ~alice ~bob (run ~comm ~seed ~enc_seed:None ~d ~d_hat ~s_bound ~k) with
       | Ok o -> Ok o
-      | Error `Decode_failure ->
+      | Error _ ->
         Ssr_obs.Metrics.incr m_retries;
         Comm.send comm Comm.B_to_a ~label:"retry" ~bits:8;
         attempt (2 * d)

@@ -20,8 +20,8 @@
     Communication O(d_hat log s + d_hat log h + d log u); 3 rounds for known
     d, 4 for unknown. *)
 
-type outcome = {
-  recovered : Parent.t;
+type 'r outcome = {
+  recovered : 'r;  (** What Bob learned: the delta from {!run}, Alice's parent from the wrappers. *)
   matched_children : int;  (** differing children repaired *)
   cpi_children : int;  (** how many used the CPI primitive *)
   stats : Ssr_setrecon.Comm.stats;
@@ -37,14 +37,14 @@ type primitive =
 val reconcile_known :
   seed:int64 -> d:int -> ?d_hat:int -> ?k:int -> ?primitive:primitive ->
   ?estimator_shape:Ssr_sketch.L0_estimator.shape ->
-  alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
+  alice:Parent.t -> bob:Parent.t -> unit -> (Parent.t outcome, error) result
 (** Theorem 3.9: 3 rounds. [d] bounds the total element changes and gates
     the IBLT-vs-CPI choice at sqrt d ([primitive] overrides the choice for
     the ablation benches). *)
 
 val reconcile_unknown :
   seed:int64 -> ?k:int -> ?estimator_shape:Ssr_sketch.L0_estimator.shape ->
-  alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
+  alice:Parent.t -> bob:Parent.t -> unit -> (Parent.t outcome, error) result
 (** Theorem 3.10: 4 rounds; the extra leading round estimates the number of
     differing children. *)
 
@@ -54,23 +54,11 @@ val default_child_shape : Ssr_sketch.L0_estimator.shape
 val run :
   comm:Ssr_setrecon.Comm.t -> seed:int64 -> d:int -> d_hat:int -> k:int ->
   shape:Ssr_sketch.L0_estimator.shape -> primitive:primitive ->
-  alice:Parent.t -> bob:Parent.t -> (outcome, [ `Decode_failure ]) result
-(** One attempt threaded through a caller-supplied recorder (for retry
-    drivers and transports); the outcome's stats are cumulative for [comm]. *)
-
-type stream_outcome = {
-  delta : Parent.delta;
-  matched_children : int;
-  cpi_children : int;
-  stats : Ssr_setrecon.Comm.stats;
-}
-
-val run_stream :
-  comm:Ssr_setrecon.Comm.t -> seed:int64 -> d:int -> d_hat:int -> k:int ->
-  shape:Ssr_sketch.L0_estimator.shape -> primitive:primitive ->
   alice:Parent.stream -> bob:Parent.stream ->
-  (stream_outcome, [ `Decode_failure ]) result
-(** [run] over {!Parent.stream} views: the hash index stores stream
-    positions, so only the O(d_hat) differing children are ever fetched;
-    result is the O(d) delta. Wire format matches [run] except the round-1
-    guard carries {!Parent.stream_hash}. *)
+  (Parent.delta outcome, [ `Decode_failure ]) result
+(** One attempt threaded through a caller-supplied recorder (for retry
+    drivers and transports); the outcome's stats are cumulative for [comm].
+    The hash index stores stream positions, so only the O(d_hat) differing
+    children are ever fetched; the result is the O(d) delta, verified
+    against Alice's {!Parent.stream_hash}. The wrappers above run it on
+    {!Parent.stream_of_t} views and apply the delta. *)

@@ -1,13 +1,11 @@
 module Iset = Ssr_util.Iset
 module Hashing = Ssr_util.Hashing
 module Prng = Ssr_util.Prng
-module Buf = Ssr_util.Buf
-module Codec = Ssr_util.Codec
 module Iblt = Ssr_sketch.Iblt
 module L0 = Ssr_sketch.L0_estimator
 module Comm = Ssr_setrecon.Comm
 
-type outcome = { recovered : Parent.t; stats : Comm.stats }
+type 'r outcome = { recovered : 'r; stats : Comm.stats }
 
 type error = [ `Decode_failure of Comm.stats ]
 
@@ -17,68 +15,11 @@ let child_id_tag = 0x4A1D
 let child_id ~seed child =
   Hashing.hash_bytes (Hashing.make ~seed ~tag:child_id_tag) (Iset.canonical_bytes child)
 
-let run ~comm ~seed ~d_hat ~u ~h ~k ~alice ~bob =
-  let cfg : Direct.config = { u; h } in
-  let prm : Iblt.params =
-    {
-      cells = Iblt.recommended_cells ~k ~diff_bound:(2 * d_hat);
-      k;
-      key_len = Direct.key_length cfg;
-      seed;
-    }
-  in
-  let table = Iblt.create prm in
-  Iblt.add_all table (Array.of_list (List.map (Direct.encode cfg) (Parent.children alice)));
-  let alice_hash = Parent.hash ~seed alice in
-  let hash_bytes = Bytes.create 8 in
-  Buf.set_int_le hash_bytes 0 alice_hash;
-  let payload = Bytes.cat (Iblt.body_bytes table) hash_bytes in
-  match Comm.xfer comm Comm.A_to_b ~label:"naive-iblt+hash" payload with
-  | Error `Lost -> Error `Decode_failure
-  | Ok delivered -> (
-  let r = Codec.reader delivered in
-  let parsed =
-    match (Codec.take r (Iblt.body_length prm), Codec.int62 r) with
-    | Some body, Some h when Codec.at_end r ->
-      Option.map (fun t -> (t, h)) (Iblt.of_body_bytes_opt prm body)
-    | _ -> None
-  in
-  match parsed with
-  | None -> Error `Decode_failure
-  | Some (table, alice_hash) -> (
-  let bob_table = Iblt.create prm in
-  Iblt.add_all bob_table (Array.of_list (List.map (Direct.encode cfg) (Parent.children bob)));
-  match Iblt.decode (Iblt.subtract table bob_table) with
-  | Error `Peel_stuck -> Error `Decode_failure
-  | Ok { positives; negatives } -> (
-    let decode_all keys =
-      List.fold_left
-        (fun acc key ->
-          match acc with
-          | None -> None
-          | Some kids -> (
-            match Direct.decode cfg key with Some c -> Some (c :: kids) | None -> None))
-        (Some []) keys
-    in
-    match (decode_all positives, decode_all negatives) with
-    | Some alice_only, Some bob_only ->
-      let bob_only_tbl = Iset.Tbl.create (List.length bob_only) in
-      List.iter (fun c -> Iset.Tbl.replace bob_only_tbl c ()) bob_only;
-      let remaining =
-        List.filter (fun c -> not (Iset.Tbl.mem bob_only_tbl c)) (Parent.children bob)
-      in
-      let recovered = Parent.of_children (alice_only @ remaining) in
-      if Parent.hash ~seed recovered = alice_hash then Ok { recovered; stats = Comm.stats comm }
-      else Error `Decode_failure
-    | _ -> Error `Decode_failure)))
-
-type stream_outcome = { delta : Parent.delta; stats : Comm.stats }
-
-(* Streaming build: direct encodings are decoded straight back to child
-   sets, so Bob needs no index at all — the peeled positives/negatives ARE
-   the delta. Guard field carries [Parent.stream_hash] (order-independent,
-   incrementally verifiable) instead of the canonical sorted hash. *)
-let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Parent.stream) =
+(* Both tables are built one encoding chunk at a time. Direct encodings
+   decode straight back to child sets, so Bob needs no index at all — the
+   peeled positives/negatives ARE the delta, verified against Alice's
+   [Parent.stream_hash] guard. *)
+let run ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Parent.stream) =
   let cfg : Direct.config = { u; h } in
   let prm : Iblt.params =
     {
@@ -90,21 +31,10 @@ let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Pare
   in
   let table = Iblt.create prm in
   Parent.stream_iter_encoded alice ~encode:(Direct.encode cfg) ~sink:(Iblt.add_all table);
-  let alice_digest = Parent.stream_hash ~seed alice in
-  let hash_bytes = Bytes.create 8 in
-  Buf.set_int_le hash_bytes 0 alice_digest;
-  let payload = Bytes.cat (Iblt.body_bytes table) hash_bytes in
-  match Comm.xfer comm Comm.A_to_b ~label:"naive-iblt+digest" payload with
-  | Error `Lost -> Error `Decode_failure
-  | Ok delivered -> (
-  let r = Codec.reader delivered in
-  let parsed =
-    match (Codec.take r (Iblt.body_length prm), Codec.int62 r) with
-    | Some body, Some h when Codec.at_end r ->
-      Option.map (fun t -> (t, h)) (Iblt.of_body_bytes_opt prm body)
-    | _ -> None
-  in
-  match parsed with
+  match
+    Parent.xfer_guarded comm ~label:"naive-iblt+hash" prm table
+      ~guard:(Parent.stream_hash ~seed alice)
+  with
   | None -> Error `Decode_failure
   | Some (table, alice_digest) -> (
   let bob_table = Iblt.create prm in
@@ -126,15 +56,20 @@ let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Pare
     | Some alice_only, Some bob_only ->
       let delta : Parent.delta = { a_only = alice_only; b_only = bob_only } in
       if Parent.delta_digest ~seed ~base:bob_digest delta = alice_digest then
-        Ok { delta; stats = Comm.stats comm }
+        Ok { recovered = delta; stats = Comm.stats comm }
       else Error `Decode_failure
-    | _ -> Error `Decode_failure)))
+    | _ -> Error `Decode_failure))
+
+(* The materialized entry points are views of [run]: stream both parents,
+   then apply the recovered delta to Bob. *)
+let via_stream comm ~alice ~bob run =
+  match run ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob) with
+  | Ok o -> Ok { o with recovered = Parent.apply_delta bob o.recovered }
+  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
 
 let reconcile_known ~seed ~d_hat ~u ~h ?(k = 4) ~alice ~bob () =
   let comm = Comm.create () in
-  match run ~comm ~seed ~d_hat ~u ~h ~k ~alice ~bob with
-  | Ok o -> Ok o
-  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
+  via_stream comm ~alice ~bob (run ~comm ~seed ~d_hat ~u ~h ~k)
 
 let reconcile_unknown ~seed ~u ~h ?(k = 4) ?estimator_shape ~alice ~bob () =
   let comm = Comm.create () in
@@ -150,6 +85,4 @@ let reconcile_unknown ~seed ~u ~h ?(k = 4) ?estimator_shape ~alice ~bob () =
       List.iter (fun c -> L0.update alice_est L0.S2 (child_id ~seed c)) (Parent.children alice);
       let est = L0.query (L0.merge bob_est alice_est) in
       let d_hat = max 2 est in
-      match run ~comm ~seed:(Prng.derive ~seed ~tag:2) ~d_hat ~u ~h ~k ~alice ~bob with
-      | Ok o -> Ok o
-      | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))))
+      via_stream comm ~alice ~bob (run ~comm ~seed:(Prng.derive ~seed ~tag:2) ~d_hat ~u ~h ~k)))

@@ -3,6 +3,9 @@ module Prng = Ssr_util.Prng
 module Hashing = Ssr_util.Hashing
 module Buf = Ssr_util.Buf
 module Par = Ssr_util.Par
+module Codec = Ssr_util.Codec
+module Iblt = Ssr_sketch.Iblt
+module Comm = Ssr_setrecon.Comm
 
 type t = Iset.t array
 (* Invariant: strictly increasing under Iset.compare (so children are
@@ -148,41 +151,93 @@ let stream_max_child_size st =
    the parallel pool (order-preserving) and handed to [sink] as one batch —
    the Iblt.add_all path — so a build touches at most [chunk] encodings at
    a time. XOR-linear sinks make the chunking bit-identical to a one-shot
-   whole-parent batch. *)
-let stream_iter_encoded ?(chunk = 4096) st ~encode ~sink =
+   whole-parent batch. Children [keep] rejects are never encoded. Each
+   chunk is one [Enc_cache.deferring] batch, so what the cache admits does
+   not depend on the pool size. *)
+let stream_iter_encoded ?(chunk = 4096) ?keep st ~encode ~sink =
   let n = st.length in
   let i = ref 0 in
   while !i < n do
     let len = min chunk (n - !i) in
     let base = !i in
-    sink (Par.init len (fun j -> encode (st.child (base + j))));
+    let batch f = Enc_cache.deferring (fun () -> Par.init len f) in
+    (match keep with
+    | None -> sink (batch (fun j -> encode (st.child (base + j))))
+    | Some keep ->
+      let encoded =
+        batch (fun j ->
+            let c = st.child (base + j) in
+            if keep c then Some (encode c) else None)
+      in
+      sink (Array.of_seq (Seq.filter_map Fun.id (Array.to_seq encoded))));
     i := !i + len
   done
 
-(* Order-independent whole-parent digest: XOR of salted per-child hashes.
-   The canonical [hash] needs the children in sorted order — impossible to
-   produce from a stream without materializing — while XOR commutes, and
-   Bob can adjust it incrementally: removing his extra children and adding
-   Alice's recovered ones must land exactly on Alice's digest. *)
+(* [stream_iter_encoded] that also remembers, per encoding fingerprint,
+   the positions that produced it, so a key peeled out of a difference maps
+   back to its child without a rescan: O(s) ints, never the children. A
+   candidate is confirmed by re-encoding it (a cache hit), so fingerprint
+   collisions cost time, not correctness. *)
+let encoded_index_tag = 0xF19B
+
+let stream_iter_indexed ~seed st ~encode ~sink =
+  let fp_of = Hashing.hash_bytes (Hashing.make ~seed ~tag:encoded_index_tag) in
+  let positions : (int, int) Hashtbl.t = Hashtbl.create (2 * st.length) in
+  let base = ref 0 in
+  stream_iter_encoded st ~encode ~sink:(fun keys ->
+      Array.iteri (fun j key -> Hashtbl.add positions (fp_of key) (!base + j)) keys;
+      sink keys;
+      base := !base + Array.length keys);
+  fun key ->
+    List.find_map
+      (fun i ->
+        let c = st.child i in
+        if Bytes.equal (encode c) key then Some c else None)
+      (List.rev (Hashtbl.find_all positions (fp_of key)))
+
+(* Order-independent whole-parent digest: the sum, modulo 2^62, of salted
+   per-child hashes. The canonical [hash] needs the children in sorted
+   order — impossible to produce from a stream without materializing —
+   while a sum commutes, and Bob can adjust it incrementally: subtracting
+   his extra children and adding Alice's recovered ones must land exactly
+   on Alice's digest. Unlike XOR, the sum tells adding a child from
+   removing it, and a child counted twice does not cancel out. *)
 let stream_hash_tag = 0x57A9
 
 let child_digest ~seed c =
   Hashing.hash_bytes (Hashing.make ~seed ~tag:stream_hash_tag) (Iset.canonical_bytes c)
 
+(* [max_int] is 2^62 - 1, so masking with it reduces modulo 2^62 (the
+   native 63-bit wrap-around is a multiple of 2^62). *)
 let stream_hash ~seed st =
   let acc = ref 0 in
   for i = 0 to st.length - 1 do
-    acc := !acc lxor child_digest ~seed (st.child i)
+    acc := (!acc + child_digest ~seed (st.child i)) land max_int
   done;
   !acc
 
+(* The one-table message of naive, iblt-of-iblts and multiround: the table
+   body, then the 8-byte guard. Bob re-slices it by the public [prm], so a
+   lost, truncated or resized delivery yields [None]. *)
+let xfer_guarded comm ~label prm table ~guard =
+  let g = Bytes.create 8 in
+  Buf.set_int_le g 0 guard;
+  match Comm.xfer comm Comm.A_to_b ~label (Bytes.cat (Iblt.body_bytes table) g) with
+  | Error `Lost -> None
+  | Ok delivered -> (
+    let r = Codec.reader delivered in
+    match (Codec.take r (Iblt.body_length prm), Codec.int62 r) with
+    | Some body, Some h when Codec.at_end r ->
+      Option.map (fun t -> (t, h)) (Iblt.of_body_bytes_opt prm body)
+    | _ -> None)
+
 type delta = { a_only : Iset.t list; b_only : Iset.t list }
 
-(* Bob's verification step: starting from his own digest, XOR out what only
-   he has and XOR in what he recovered; the result must equal Alice's. *)
+(* Bob's verification step: starting from his own digest, subtract what
+   only he has and add what he recovered; the result must equal Alice's. *)
 let delta_digest ~seed ~base { a_only; b_only } =
-  let f = List.fold_left (fun acc c -> acc lxor child_digest ~seed c) in
-  f (f base b_only) a_only
+  let sum = List.fold_left (fun acc c -> acc + child_digest ~seed c) 0 in
+  (base - sum b_only + sum a_only) land max_int
 
 let apply_delta t { a_only; b_only } =
   let drop = Iset.Tbl.create (List.length b_only) in

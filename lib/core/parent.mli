@@ -32,8 +32,10 @@ val compare : t -> t -> int
 val mem : Ssr_util.Iset.t -> t -> bool
 
 val hash : seed:int64 -> t -> int
-(** 62-bit hash of the canonical form, used as the whole-object verification
-    guard ("Alice can send Bob a hash of her whole set of sets", §3.2). *)
+(** 62-bit hash of the canonical form. The set-of-sets-of-sets extension
+    keys whole parents by it; the protocol stacks' whole-object guard
+    ("Alice can send Bob a hash of her whole set of sets", §3.2) is the
+    streamable {!stream_hash} instead. *)
 
 val symmetric_diff : t -> t -> Ssr_util.Iset.t list * Ssr_util.Iset.t list
 (** [(a_only, b_only)]: children of one parent absent from the other. *)
@@ -66,8 +68,8 @@ val random :
     Million-element workloads cannot afford to materialize a whole parent:
     a {!stream} presents the children as a pure random-access function of
     position (resumable from any index, deterministic at any domain-pool
-    size), and the protocols' [run_stream] entry points build their
-    sketches from it in bounded memory. *)
+    size). Every protocol stack's [run] builds its sketches from streams in
+    bounded memory; a materialized parent enters through {!stream_of_t}. *)
 
 type stream = {
   length : int;  (** Number of children (s). *)
@@ -95,33 +97,55 @@ val stream_max_child_size : stream -> int
 (** Largest child (h), by one folding pass. *)
 
 val stream_iter_encoded :
-  ?chunk:int -> stream -> encode:(Ssr_util.Iset.t -> Bytes.t) -> sink:(Bytes.t array -> unit) -> unit
+  ?chunk:int -> ?keep:(Ssr_util.Iset.t -> bool) -> stream ->
+  encode:(Ssr_util.Iset.t -> Bytes.t) -> sink:(Bytes.t array -> unit) -> unit
 (** Encode the children in chunks of [chunk] (default 4096) under the
     parallel pool and hand each batch to [sink] (typically
     [Iblt.add_all table]); at most one chunk of encodings is live at a
     time, and XOR-linearity makes the result bit-identical to a one-shot
-    batch over all children. *)
+    batch over all children. Children [keep] rejects (default: none) are
+    neither encoded nor sunk; without [keep], batch entry [j] of the chunk
+    starting at position [base] is child [base + j]. *)
+
+val stream_iter_indexed :
+  seed:int64 -> stream -> encode:(Ssr_util.Iset.t -> Bytes.t) ->
+  sink:(Bytes.t array -> unit) -> Bytes.t -> Ssr_util.Iset.t option
+(** {!stream_iter_encoded} that also records a fingerprint -> positions
+    index (O(s) integers) and returns the lookup: the first child, in
+    stream order, whose encoding is exactly the given key. Bob uses it to
+    map keys peeled out of a difference back to his children without
+    rescanning the stream. *)
 
 val stream_hash : seed:int64 -> stream -> int
-(** Order-independent whole-parent digest: XOR of the salted 62-bit
-    {!child_digest} of every child. The streaming protocols verify against
-    this instead of {!hash} (which needs sorted children), because Bob can
-    update it incrementally from a recovered delta. *)
+(** Order-independent whole-parent digest: the sum modulo 2^62 of the
+    salted 62-bit {!child_digest} of every child. It is the 8-byte guard of
+    every protocol stack (instead of {!hash}, which needs sorted children),
+    because Bob can update it incrementally from a recovered delta. *)
 
 val child_digest : seed:int64 -> Ssr_util.Iset.t -> int
 (** One child's term of {!stream_hash}. *)
+
+val xfer_guarded :
+  Ssr_setrecon.Comm.t -> label:string -> Ssr_sketch.Iblt.params -> Ssr_sketch.Iblt.t ->
+  guard:int -> (Ssr_sketch.Iblt.t * int) option
+(** Alice -> Bob: one table of public parameters [prm] followed by the
+    8-byte [guard] (her {!stream_hash}). Bob gets the parsed table and
+    guard, or [None] when the message is lost, truncated or resized. *)
 
 type delta = { a_only : Ssr_util.Iset.t list; b_only : Ssr_util.Iset.t list }
 (** What a streaming reconciliation recovers: the children only Alice has
     and the children only Bob has — O(d) state, never the whole parent. *)
 
 val delta_digest : seed:int64 -> base:int -> delta -> int
-(** [delta_digest ~seed ~base:(stream_hash bob) delta]: Bob's digest with
-    [b_only] XORed out and [a_only] XORed in — equals Alice's
-    {!stream_hash} exactly when the delta is correct. *)
+(** [delta_digest ~seed ~base:(stream_hash bob) delta]: Bob's digest minus
+    the digests of [b_only] plus those of [a_only], modulo 2^62. It equals
+    Alice's {!stream_hash} when the delta is correct; a delta that lists a
+    child on the wrong side or twice changes the sum, so it matches only
+    through a 62-bit digest collision. *)
 
 val apply_delta : t -> delta -> t
 (** Apply a recovered delta to (materialized) Bob: drop [b_only], add
-    [a_only]. Test/bridge helper. *)
+    [a_only]. The stacks' [reconcile_known]/[reconcile_unknown] wrappers
+    use it to turn [run]'s delta into Alice's parent. *)
 
 val pp : Format.formatter -> t -> unit

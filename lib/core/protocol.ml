@@ -10,112 +10,64 @@ let name = function
   | Cascade -> "cascade"
   | Multiround -> "multiround"
 
-type outcome = { recovered : Parent.t; stats : Comm.stats }
+type 'r outcome = { recovered : 'r; stats : Comm.stats }
 
 type error = [ `Decode_failure of Comm.stats ]
 
-let lift = function
-  | Ok (recovered, stats) -> Ok { recovered; stats }
-  | Error (`Decode_failure stats) -> Error (`Decode_failure stats)
-
-let reconcile_known kind ~seed ~d ~u ~h ~alice ~bob () =
-  match kind with
-  | Naive ->
-    lift
-      (Result.map
-         (fun (o : Naive.outcome) -> (o.Naive.recovered, o.Naive.stats))
-         (Naive.reconcile_known ~seed ~d_hat:(min d (max 2 (Parent.cardinal bob))) ~u ~h ~alice ~bob ()))
-  | Iblt_of_iblts ->
-    lift
-      (Result.map
-         (fun (o : Iblt_of_iblts.outcome) -> (o.Iblt_of_iblts.recovered, o.Iblt_of_iblts.stats))
-         (Iblt_of_iblts.reconcile_known ~seed ~d ~alice ~bob ()))
-  | Cascade ->
-    lift
-      (Result.map
-         (fun (o : Cascade.outcome) -> (o.Cascade.recovered, o.Cascade.stats))
-         (Cascade.reconcile_known ~seed ~d ~u ~h ~alice ~bob ()))
-  | Multiround ->
-    lift
-      (Result.map
-         (fun (o : Multiround.outcome) -> (o.Multiround.recovered, o.Multiround.stats))
-         (Multiround.reconcile_known ~seed ~d ~alice ~bob ()))
-
-let reconcile_unknown kind ~seed ~u ~h ~alice ~bob () =
-  match kind with
-  | Naive ->
-    lift
-      (Result.map
-         (fun (o : Naive.outcome) -> (o.Naive.recovered, o.Naive.stats))
-         (Naive.reconcile_unknown ~seed ~u ~h ~alice ~bob ()))
-  | Iblt_of_iblts ->
-    lift
-      (Result.map
-         (fun (o : Iblt_of_iblts.outcome) -> (o.Iblt_of_iblts.recovered, o.Iblt_of_iblts.stats))
-         (Iblt_of_iblts.reconcile_unknown ~seed ~alice ~bob ()))
-  | Cascade ->
-    lift
-      (Result.map
-         (fun (o : Cascade.outcome) -> (o.Cascade.recovered, o.Cascade.stats))
-         (Cascade.reconcile_unknown ~seed ~u ~h ~alice ~bob ()))
-  | Multiround ->
-    lift
-      (Result.map
-         (fun (o : Multiround.outcome) -> (o.Multiround.recovered, o.Multiround.stats))
-         (Multiround.reconcile_unknown ~seed ~alice ~bob ()))
-
-let run_known kind ~comm ~seed ~enc_seed ~d ~u ~h ~alice ~bob =
-  let s_bound = max 2 (Parent.cardinal bob) in
-  let d_hat = min d s_bound in
-  match kind with
-  | Naive ->
-    (* Direct encodings are seedless, so there is nothing to pin. *)
-    Result.map
-      (fun (o : Naive.outcome) -> { recovered = o.Naive.recovered; stats = o.Naive.stats })
-      (Naive.run ~comm ~seed ~d_hat ~u ~h ~k:4 ~alice ~bob)
-  | Iblt_of_iblts ->
-    Result.map
-      (fun (o : Iblt_of_iblts.outcome) ->
-        { recovered = o.Iblt_of_iblts.recovered; stats = o.Iblt_of_iblts.stats })
-      (Iblt_of_iblts.run ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~k:4 ~alice ~bob)
-  | Cascade ->
-    Result.map
-      (fun (o : Cascade.outcome) -> { recovered = o.Cascade.recovered; stats = o.Cascade.stats })
-      (Cascade.run ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k:3 ~alice ~bob)
-  | Multiround ->
-    (* Per-child tables are keyed by entry position, not reusable. *)
-    Result.map
-      (fun (o : Multiround.outcome) ->
-        { recovered = o.Multiround.recovered; stats = o.Multiround.stats })
-      (Multiround.run ~comm ~seed ~d ~d_hat ~k:4 ~shape:Multiround.default_child_shape
-         ~primitive:Multiround.Auto ~alice ~bob)
-
-type stream_outcome = { delta : Parent.delta; stats : Comm.stats }
-
-let run_known_stream kind ~comm ~seed ~enc_seed ~d ~u ~h ~(alice : Parent.stream)
+let run_known kind ~comm ~seed ~enc_seed ~d ~u ~h ~(alice : Parent.stream)
     ~(bob : Parent.stream) =
   let s_bound = max 2 bob.Parent.length in
   let d_hat = min d s_bound in
   match kind with
   | Naive ->
+    (* Direct encodings are seedless, so there is nothing to pin. *)
     Result.map
-      (fun (o : Naive.stream_outcome) -> { delta = o.Naive.delta; stats = o.Naive.stats })
-      (Naive.run_stream ~comm ~seed ~d_hat ~u ~h ~k:4 ~alice ~bob)
+      (fun (o : _ Naive.outcome) -> { recovered = o.recovered; stats = o.stats })
+      (Naive.run ~comm ~seed ~d_hat ~u ~h ~k:4 ~alice ~bob)
   | Iblt_of_iblts ->
     Result.map
-      (fun (o : Iblt_of_iblts.stream_outcome) ->
-        { delta = o.Iblt_of_iblts.delta; stats = o.Iblt_of_iblts.stats })
-      (Iblt_of_iblts.run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~k:4 ~alice ~bob)
+      (fun (o : _ Iblt_of_iblts.outcome) -> { recovered = o.recovered; stats = o.stats })
+      (Iblt_of_iblts.run ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~k:4 ~alice ~bob)
   | Cascade ->
     Result.map
-      (fun (o : Cascade.stream_outcome) -> { delta = o.Cascade.delta; stats = o.Cascade.stats })
-      (Cascade.run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k:3 ~alice ~bob)
+      (fun (o : _ Cascade.outcome) -> { recovered = o.recovered; stats = o.stats })
+      (Cascade.run ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k:3 ~alice ~bob)
+  | Multiround ->
+    (* Per-child tables are keyed by entry position, not reusable. *)
+    Result.map
+      (fun (o : _ Multiround.outcome) -> { recovered = o.recovered; stats = o.stats })
+      (Multiround.run ~comm ~seed ~d ~d_hat ~k:4 ~shape:Multiround.default_child_shape
+         ~primitive:Multiround.Auto ~alice ~bob)
+
+(* Each stack's [reconcile_known] with its default tuning is exactly this
+   view of [run_known]. *)
+let reconcile_known kind ~seed ~d ~u ~h ~alice ~bob () =
+  let comm = Comm.create () in
+  match
+    run_known kind ~comm ~seed ~enc_seed:None ~d ~u ~h ~alice:(Parent.stream_of_t alice)
+      ~bob:(Parent.stream_of_t bob)
+  with
+  | Ok o -> Ok { o with recovered = Parent.apply_delta bob o.recovered }
+  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
+
+let reconcile_unknown kind ~seed ~u ~h ~alice ~bob () =
+  match kind with
+  | Naive ->
+    Result.map
+      (fun (o : _ Naive.outcome) -> { recovered = o.recovered; stats = o.stats })
+      (Naive.reconcile_unknown ~seed ~u ~h ~alice ~bob ())
+  | Iblt_of_iblts ->
+    Result.map
+      (fun (o : _ Iblt_of_iblts.outcome) -> { recovered = o.recovered; stats = o.stats })
+      (Iblt_of_iblts.reconcile_unknown ~seed ~alice ~bob ())
+  | Cascade ->
+    Result.map
+      (fun (o : _ Cascade.outcome) -> { recovered = o.recovered; stats = o.stats })
+      (Cascade.reconcile_unknown ~seed ~u ~h ~alice ~bob ())
   | Multiround ->
     Result.map
-      (fun (o : Multiround.stream_outcome) ->
-        { delta = o.Multiround.delta; stats = o.Multiround.stats })
-      (Multiround.run_stream ~comm ~seed ~d ~d_hat ~k:4 ~shape:Multiround.default_child_shape
-         ~primitive:Multiround.Auto ~alice ~bob)
+      (fun (o : _ Multiround.outcome) -> { recovered = o.recovered; stats = o.stats })
+      (Multiround.reconcile_unknown ~seed ~alice ~bob ())
 
 let reconcile_amplified kind ~seed ~d ~u ~h ~replicas ~alice ~bob () =
   if replicas < 1 then invalid_arg "Protocol.reconcile_amplified: replicas must be positive";
@@ -127,7 +79,7 @@ let reconcile_amplified kind ~seed ~d ~u ~h ~replicas ~alice ~bob () =
   in
   let first = replica 0 in
   let rest = List.init (replicas - 1) (fun i -> replica (i + 1)) in
-  let stats_of (r : (outcome, error) result) =
+  let stats_of (r : (_ outcome, error) result) =
     match r with Ok o -> o.stats | Error (`Decode_failure st) -> st
   in
   let total_stats =
@@ -148,23 +100,17 @@ type cost_report = {
   metrics : Ssr_obs.Metrics.snapshot;
 }
 
-let report_of ~protocol ~before stats =
-  let after = Ssr_obs.Metrics.snapshot () in
-  {
-    protocol;
-    stats;
-    per_round = Comm.per_round_bits stats;
-    metrics = Ssr_obs.Metrics.diff ~before ~after;
-  }
-
-let with_report ~protocol (run : unit -> (outcome, error) result) =
+let with_report kind run =
   let before = Ssr_obs.Metrics.snapshot () in
+  let report stats =
+    let after = Ssr_obs.Metrics.snapshot () in
+    {
+      protocol = name kind;
+      stats;
+      per_round = Comm.per_round_bits stats;
+      metrics = Ssr_obs.Metrics.diff ~before ~after;
+    }
+  in
   match run () with
-  | Ok o -> Ok (o, report_of ~protocol ~before o.stats)
-  | Error (`Decode_failure stats) -> Error (`Decode_failure stats, report_of ~protocol ~before stats)
-
-let reconcile_known_report kind ~seed ~d ~u ~h ~alice ~bob () =
-  with_report ~protocol:(name kind) (reconcile_known kind ~seed ~d ~u ~h ~alice ~bob)
-
-let reconcile_unknown_report kind ~seed ~u ~h ~alice ~bob () =
-  with_report ~protocol:(name kind) (reconcile_unknown kind ~seed ~u ~h ~alice ~bob)
+  | Ok (o : _ outcome) -> Ok (o, report o.stats)
+  | Error (`Decode_failure stats) -> Error (`Decode_failure stats, report stats)

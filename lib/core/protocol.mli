@@ -13,33 +13,26 @@ type kind =
 val all : kind list
 val name : kind -> string
 
-type outcome = {
-  recovered : Parent.t;
+type 'r outcome = {
+  recovered : 'r;
+      (** What Bob learned: the O(d) delta from {!run_known}, Alice's parent
+          from the other entry points. *)
   stats : Ssr_setrecon.Comm.stats;
 }
 
 type error = [ `Decode_failure of Ssr_setrecon.Comm.stats ]
 
-val reconcile_known :
-  kind -> seed:int64 -> d:int -> u:int -> h:int ->
-  alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
-(** Run the chosen protocol with a known bound [d] on the total number of
-    element changes ([u], [h] size the direct encodings where needed;
-    the naive protocol derives its d_hat as [min d s]). *)
-
-val reconcile_unknown :
-  kind -> seed:int64 -> u:int -> h:int ->
-  alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
-(** Run the unknown-d variant (estimator round or repeated doubling,
-    whichever the protocol prescribes). *)
-
 val run_known :
   kind -> comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option -> d:int -> u:int -> h:int ->
-  alice:Parent.t -> bob:Parent.t -> (outcome, [ `Decode_failure ]) result
-(** One known-d attempt threaded through a caller-supplied recorder, with
-    each protocol's default tuning. The transport-aware driver
-    (lib/transport's Resilient) uses this to run several attempts over one
-    channel transcript; the outcome's stats are cumulative for [comm].
+  alice:Parent.stream -> bob:Parent.stream ->
+  (Parent.delta outcome, [ `Decode_failure ]) result
+(** One known-d attempt of the chosen stack's [run], with each protocol's
+    default tuning, threaded through a caller-supplied recorder: sketches
+    are built from {!Parent.stream} views in bounded memory, and the
+    result is the delta Bob learned, verified against Alice's
+    {!Parent.stream_hash}. The transport-aware driver (lib/transport's
+    Resilient) uses this to run several attempts over one channel
+    transcript; the outcome's stats are cumulative for [comm].
     [enc_seed] (default: [seed]) pins the child-encoding salt across
     attempts for the protocols with seeded child encodings (Iblt_of_iblts,
     Cascade), letting the {!Enc_cache} carry encoding work between
@@ -47,21 +40,23 @@ val run_known :
     encodings are seedless, Multiround's per-child tables are
     position-keyed). *)
 
-type stream_outcome = { delta : Parent.delta; stats : Ssr_setrecon.Comm.stats }
+val reconcile_known :
+  kind -> seed:int64 -> d:int -> u:int -> h:int ->
+  alice:Parent.t -> bob:Parent.t -> unit -> (Parent.t outcome, error) result
+(** Run the chosen protocol with a known bound [d] on the total number of
+    element changes ([u], [h] size the direct encodings where needed;
+    the naive protocol derives its d_hat as [min d s]): {!run_known} on
+    {!Parent.stream_of_t} views, with the delta applied to Bob. *)
 
-val run_known_stream :
-  kind -> comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option -> d:int -> u:int -> h:int ->
-  alice:Parent.stream -> bob:Parent.stream ->
-  (stream_outcome, [ `Decode_failure ]) result
-(** {!run_known} over {!Parent.stream} views: sketches are built in bounded
-    memory and the result is the O(d) delta Bob learned rather than a
-    materialized parent. Wire formats match the materialized runs except
-    that the 8-byte guard field carries the order-independent
-    {!Parent.stream_hash} digest. *)
+val reconcile_unknown :
+  kind -> seed:int64 -> u:int -> h:int ->
+  alice:Parent.t -> bob:Parent.t -> unit -> (Parent.t outcome, error) result
+(** Run the unknown-d variant (estimator round or repeated doubling,
+    whichever the protocol prescribes). *)
 
 val reconcile_amplified :
   kind -> seed:int64 -> d:int -> u:int -> h:int -> replicas:int ->
-  alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
+  alice:Parent.t -> bob:Parent.t -> unit -> (Parent.t outcome, error) result
 (** The paper's replication amplification (§3.2): run [replicas] independent
     instances in parallel (independent public coins) and let Bob output the
     first recovery that verifies against Alice's whole-collection hash. The
@@ -81,15 +76,9 @@ type cost_report = {
 }
 (** Transcript-level cost accounting for one reconciliation run. *)
 
-val reconcile_known_report :
-  kind -> seed:int64 -> d:int -> u:int -> h:int ->
-  alice:Parent.t -> bob:Parent.t -> unit ->
-  (outcome * cost_report, error * cost_report) result
-(** {!reconcile_known} plus its {!cost_report}; failures carry a report too
-    (a failed run still spent its communication). *)
-
-val reconcile_unknown_report :
-  kind -> seed:int64 -> u:int -> h:int ->
-  alice:Parent.t -> bob:Parent.t -> unit ->
-  (outcome * cost_report, error * cost_report) result
-(** {!reconcile_unknown} plus its {!cost_report}. *)
+val with_report :
+  kind -> (unit -> ('r outcome, error) result) ->
+  ('r outcome * cost_report, error * cost_report) result
+(** [with_report kind (reconcile_known kind ~seed ~d ~u ~h ~alice ~bob)]:
+    the run plus its {!cost_report}; failures carry a report too (a failed
+    run still spent its communication). *)

@@ -390,7 +390,7 @@ let sos_direct_payload ~seed alice =
       add_u32 (Bytes.length b);
       Buffer.add_bytes buf b)
     children;
-  Buffer.add_bytes buf (int62_bytes (Parent.hash ~seed alice));
+  Buffer.add_bytes buf (int62_bytes (Parent.stream_hash ~seed (Parent.stream_of_t alice)));
   Buffer.to_bytes buf
 
 let parse_direct_sos ~seed delivered =
@@ -408,7 +408,7 @@ let parse_direct_sos ~seed delivered =
         match Codec.int62 r with
         | Some h when Codec.at_end r ->
           let p = Parent.of_children (List.rev acc) in
-          if Parent.hash ~seed p = h then Some p else None
+          if Parent.stream_hash ~seed (Parent.stream_of_t p) = h then Some p else None
         | _ -> None
       end
       else
@@ -425,6 +425,7 @@ let reconcile_sos ~link ~kind ~seed ~u ~h ?(initial_d = 4) ?(max_attempts = 5)
     ?(rehash_attempts = 2) ?attempt_deadline_us ?run_deadline_us ?backoff_us ~alice ~bob () =
   let ctx = mk_ctx ~link ~seed ?attempt_deadline_us ?run_deadline_us ?backoff_us () in
   let direct_payload = lazy (sos_direct_payload ~seed alice) in
+  let alice_st = Parent.stream_of_t alice and bob_st = Parent.stream_of_t bob in
   let run_attempt ~number ~d =
     (* The child-encoding salt is pinned to the base seed: every rung of the
        ladder (and the rehash rung, which re-runs at the last tried bound)
@@ -433,9 +434,9 @@ let reconcile_sos ~link ~kind ~seed ~u ~h ?(initial_d = 4) ?(max_attempts = 5)
        fresh per-attempt salts. *)
     match
       Protocol.run_known kind ~comm:ctx.comm ~seed:(Hashing.attempt_seed ~seed ~attempt:number)
-        ~enc_seed:(Some seed) ~d ~u ~h ~alice ~bob
+        ~enc_seed:(Some seed) ~d ~u ~h ~alice:alice_st ~bob:bob_st
     with
-    | Ok (o : Protocol.outcome) -> Some o.Protocol.recovered
+    | Ok o -> Some (Parent.apply_delta bob o.Protocol.recovered)
     | Error `Decode_failure -> None
   in
   drive ctx ~max_attempts ~rehash_attempts ~initial_d ~recon:run_attempt

@@ -329,10 +329,10 @@ let test_dataset_stream_matches_materialized () =
     (fun kind ->
       let rseed = Prng.derive ~seed ~tag:(Hashtbl.hash ("sm", Protocol.name kind)) in
       match
-        Protocol.run_known_stream kind ~comm:(Comm.create ()) ~seed:rseed ~enc_seed:None
+        Protocol.run_known kind ~comm:(Comm.create ()) ~seed:rseed ~enc_seed:None
           ~d:(2 * edits) ~u ~h ~alice:twin.Datasets.stream ~bob:inst.Datasets.stream
       with
-      | Ok { Protocol.delta; _ } ->
+      | Ok { Protocol.recovered = delta; _ } ->
         let check_side label got expect =
           Alcotest.(check int)
             (Printf.sprintf "%s %s count" (Protocol.name kind) label)

@@ -41,6 +41,33 @@ let test_parent_hash_sensitivity () =
   Alcotest.(check bool) "grouping matters" true (Parent.hash ~seed a <> Parent.hash ~seed b);
   Alcotest.(check int) "deterministic" (Parent.hash ~seed a) (Parent.hash ~seed a)
 
+(* The guard digest must reject a delta that puts a child on the wrong side
+   or lists one twice: [apply_delta] turns both bad deltas below into the
+   wrong parent. A XOR of child digests would accept both (it cannot tell
+   adding a child from removing it, and a child counted twice cancels). *)
+let test_delta_digest_rejects_misplaced_and_duplicated () =
+  let c1 = Iset.of_list [ 1 ] and c2 = Iset.of_list [ 2 ] and c3 = Iset.of_list [ 3 ] in
+  let c4 = Iset.of_list [ 4 ] in
+  let alice = Parent.of_children [ c1; c2; c4 ] and bob = Parent.of_children [ c2; c3; c4 ] in
+  let digest p = Parent.stream_hash ~seed (Parent.stream_of_t p) in
+  let verifies (delta : Parent.delta) =
+    Parent.delta_digest ~seed ~base:(digest bob) delta = digest alice
+  in
+  let good : Parent.delta = { a_only = [ c1 ]; b_only = [ c3 ] } in
+  Alcotest.(check bool) "correct delta verifies" true (verifies good);
+  Alcotest.(check bool) "correct delta applies" true
+    (Parent.equal (Parent.apply_delta bob good) alice);
+  (* Bob-only c3 moved from b_only into a_only. *)
+  let misplaced : Parent.delta = { a_only = [ c1; c3 ]; b_only = [] } in
+  Alcotest.(check bool) "misplaced delta is wrong" false
+    (Parent.equal (Parent.apply_delta bob misplaced) alice);
+  Alcotest.(check bool) "misplaced delta rejected" false (verifies misplaced);
+  (* Shared child c4 listed twice in b_only. *)
+  let duplicated : Parent.delta = { a_only = [ c1 ]; b_only = [ c3; c4; c4 ] } in
+  Alcotest.(check bool) "duplicated delta is wrong" false
+    (Parent.equal (Parent.apply_delta bob duplicated) alice);
+  Alcotest.(check bool) "duplicated delta rejected" false (verifies duplicated)
+
 let test_parent_symmetric_diff () =
   let c1 = Iset.of_list [ 1 ] and c2 = Iset.of_list [ 2 ] and c3 = Iset.of_list [ 3 ] in
   let a = Parent.of_children [ c1; c2 ] and b = Parent.of_children [ c2; c3 ] in
@@ -506,13 +533,13 @@ let test_ioi_ten_thousand_children () =
   let alice_inst = Datasets.pair ~seed:(Prng.derive ~seed ~tag:0x1A5) ~edits bob_inst in
   let u = alice_inst.Datasets.universe and h = alice_inst.Datasets.max_child_size in
   match
-    Protocol.run_known_stream Protocol.Iblt_of_iblts ~comm:(Comm.create ())
+    Protocol.run_known Protocol.Iblt_of_iblts ~comm:(Comm.create ())
       ~seed:(Prng.derive ~seed ~tag:0x1A6)
       ~enc_seed:None ~d:(2 * edits) ~u ~h ~alice:alice_inst.Datasets.stream
       ~bob:bob_inst.Datasets.stream
   with
   | Error `Decode_failure -> Alcotest.fail "10^4-child stream run failed"
-  | Ok { Protocol.delta; _ } ->
+  | Ok { Protocol.recovered = delta; _ } ->
     let a_ref, b_ref =
       Parent.symmetric_diff
         (Parent.of_stream alice_inst.Datasets.stream)
@@ -526,6 +553,73 @@ let test_ioi_ten_thousand_children () =
       (sort (a_ref @ b_ref));
     Alcotest.(check int) "a_only count" (List.length a_ref) (List.length delta.Parent.a_only);
     Alcotest.(check int) "b_only count" (List.length b_ref) (List.length delta.Parent.b_only)
+
+(* The cache budget bounds the heap the cache keeps alive, not just its
+   value bytes: fill a small budget with freshly built children (small
+   values, so keys, child sets and buckets dominate), drop every reference
+   to them, and after a full major collection the live heap may have grown
+   by at most the budget plus a fixed slack. *)
+let test_enc_cache_budget_bounds_heap () =
+  let module Enc_cache = Ssr_core.Enc_cache in
+  let budget = 1 lsl 20 and slack = 128 * 1024 in
+  let was_enabled = Enc_cache.is_enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Enc_cache.set_capacity_bytes (256 * 1024 * 1024);
+      Enc_cache.clear ();
+      Enc_cache.set_enabled was_enabled)
+    (fun () ->
+      Enc_cache.set_enabled true;
+      Enc_cache.clear ();
+      Enc_cache.set_capacity_bytes budget;
+      Gc.full_major ();
+      let before = (Gc.stat ()).Gc.live_words in
+      for i = 0 to 49_999 do
+        let child = Iset.of_list (List.init 8 (fun j -> (8 * i) + j)) in
+        ignore (Enc_cache.find_or_add ~kind:0 ~cells:1 ~k:1 ~bits:1 ~seed ~child (fun () ->
+            Bytes.make 16 'x'))
+      done;
+      Gc.full_major ();
+      let grown = ((Gc.stat ()).Gc.live_words - before) * (Sys.word_size / 8) in
+      let st = Enc_cache.stats () in
+      Alcotest.(check bool) "cache filled" true (st.Enc_cache.entries > 1000);
+      Alcotest.(check bool) "charged bytes within budget" true (st.Enc_cache.bytes <= budget);
+      if grown > budget + slack then
+        Alcotest.failf "live heap grew %d bytes for a %d-byte budget (%d entries)" grown budget
+          st.Enc_cache.entries)
+
+(* A deferred batch is admitted whole or not at all, and nothing it
+   computes is visible to lookups before it ends. *)
+let test_enc_cache_deferred_batch () =
+  let module Enc_cache = Ssr_core.Enc_cache in
+  let was_enabled = Enc_cache.is_enabled () in
+  let computed = ref 0 in
+  let lookup i =
+    ignore
+      (Enc_cache.find_or_add ~kind:0 ~cells:1 ~k:1 ~bits:1 ~seed ~child:(Iset.of_list [ i ])
+         (fun () ->
+           incr computed;
+           Bytes.make 16 'x'))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Enc_cache.set_capacity_bytes (256 * 1024 * 1024);
+      Enc_cache.clear ();
+      Enc_cache.set_enabled was_enabled)
+    (fun () ->
+      Enc_cache.set_enabled true;
+      Enc_cache.clear ();
+      Enc_cache.set_capacity_bytes (1 lsl 20);
+      Enc_cache.deferring (fun () -> lookup 0; lookup 0);
+      Alcotest.(check int) "no hit inside the batch" 2 !computed;
+      Alcotest.(check int) "admitted once after it" 1 (Enc_cache.stats ()).Enc_cache.entries;
+      let used = (Enc_cache.stats ()).Enc_cache.bytes in
+      (* Room for about one more entry: a two-entry batch must not half-fit. *)
+      Enc_cache.set_capacity_bytes (used + used + (used / 2));
+      Enc_cache.deferring (fun () -> lookup 1; lookup 2);
+      Alcotest.(check int) "oversized batch not admitted" 1 (Enc_cache.stats ()).Enc_cache.entries;
+      lookup 0;
+      Alcotest.(check int) "earlier entry still hits" 4 !computed)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -552,6 +646,8 @@ let () =
           Alcotest.test_case "canonical form" `Quick test_parent_canonical;
           Alcotest.test_case "hash sensitivity" `Quick test_parent_hash_sensitivity;
           Alcotest.test_case "symmetric diff" `Quick test_parent_symmetric_diff;
+          Alcotest.test_case "delta digest rejects misplaced and duplicated" `Quick
+            test_delta_digest_rejects_misplaced_and_duplicated;
           Alcotest.test_case "relaxed matching cost" `Quick test_parent_relaxed_cost;
           Alcotest.test_case "perturb cost bounded" `Quick test_parent_perturb_cost_bounded;
         ] );
@@ -605,5 +701,10 @@ let () =
         ] );
       ( "scale",
         [ Alcotest.test_case "10^4-child iblt-of-iblts" `Quick test_ioi_ten_thousand_children ] );
+      ( "enc-cache",
+        [
+          Alcotest.test_case "budget bounds live heap" `Quick test_enc_cache_budget_bounds_heap;
+          Alcotest.test_case "deferred batch all or nothing" `Quick test_enc_cache_deferred_batch;
+        ] );
       ("properties", qcheck_tests);
     ]

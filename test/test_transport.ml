@@ -310,7 +310,11 @@ let test_sos_corruption_never_silent () =
       let d, h = sos_args rng alice bob in
       let u = 1 lsl 18 in
       let probe = Comm.create () in
-      (match Protocol.run_known kind ~comm:probe ~seed ~enc_seed:None ~d ~u ~h ~alice ~bob with
+      let run comm =
+        Protocol.run_known kind ~comm ~seed ~enc_seed:None ~d ~u ~h
+          ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob)
+      in
+      (match run probe with
       | Ok _ -> ()
       | Error `Decode_failure ->
         Alcotest.failf "fault-free %s run must succeed" (Protocol.name kind));
@@ -321,8 +325,9 @@ let test_sos_corruption_never_silent () =
         let bit = Prng.int_below rng 200_000 in
         let comm = Comm.create () in
         Comm.set_transport comm (surgical_transport ~message ~bit);
-        (match Protocol.run_known kind ~comm ~seed ~enc_seed:None ~d ~u ~h ~alice ~bob with
-        | Ok o -> if not (Parent.equal o.Protocol.recovered alice) then incr silent
+        (match run comm with
+        | Ok o ->
+          if not (Parent.equal (Parent.apply_delta bob o.Protocol.recovered) alice) then incr silent
         | Error `Decode_failure -> incr detected);
         ignore trial
       done;
@@ -372,8 +377,12 @@ let test_burst_corruption_never_silent () =
           (burst_transport ~message:(Prng.int_below rng 4) ~start:(Prng.int_below rng 100_000)
              ~len:(1 + Prng.int_below rng 256)
              (Int64.of_int (trial * 7919)));
-        match Protocol.run_known kind ~comm ~seed ~enc_seed:None ~d ~u ~h ~alice ~bob with
-        | Ok o -> if not (Parent.equal o.Protocol.recovered alice) then incr silent
+        match
+          Protocol.run_known kind ~comm ~seed ~enc_seed:None ~d ~u ~h
+            ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob)
+        with
+        | Ok o ->
+          if not (Parent.equal (Parent.apply_delta bob o.Protocol.recovered) alice) then incr silent
         | Error `Decode_failure -> ()
       done;
       Alcotest.(check int)
